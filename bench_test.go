@@ -173,16 +173,19 @@ func BenchmarkMicro_RLSUpdate(b *testing.B) {
 }
 
 // BenchmarkMicro_LiveGate measures an uncontended Acquire/Release pair on
-// the goroutine gate.
+// the goroutine gate (a single-class gate.Multi).
 func BenchmarkMicro_LiveGate(b *testing.B) {
-	l := gate.NewLive(math.Inf(1))
+	m, err := gate.NewMulti([]gate.ClassSpec{{Name: "default"}}, math.Inf(1))
+	if err != nil {
+		b.Fatal(err)
+	}
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := l.Acquire(ctx); err != nil {
+		if err := m.Acquire(ctx, 0); err != nil {
 			b.Fatal(err)
 		}
-		l.Release()
+		m.Release(0)
 	}
 }
 

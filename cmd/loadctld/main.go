@@ -50,7 +50,6 @@ func main() {
 		weightEpoch  = flag.Int("weight-epoch", 0, "retune class weights from shed rates every N intervals in pool mode (0 = off)")
 		items        = flag.Int("items", 4096, "store size D (smaller = more contention)")
 		kvShards     = flag.Int("kv-shards", 0, "kv store shards, rounded up to a power of two (0 = auto from GOMAXPROCS, 1 = unsharded baseline)")
-		groupCommit  = flag.Bool("group-commit", false, "coalesce concurrent OCC commits into flat-combined batches (one shard-lock acquisition per batch)")
 		interval     = flag.Duration("interval", time.Second, "measurement interval")
 		maxRetry     = flag.Int("maxretry", 3, "restart budget per request on CC abort (-1 = no restarts)")
 		queueTimeout = flag.Duration("queue-timeout", 5*time.Second, "max admission wait before shedding (503)")
@@ -91,7 +90,6 @@ func main() {
 		Engine:          *engine,
 		Items:           *items,
 		KVShards:        *kvShards,
-		GroupCommit:     *groupCommit,
 		Classes:         classCfg,
 		ClassControl:    *classControl,
 		ClassController: *controller,

@@ -124,6 +124,18 @@ func TestProxyRelaysAndIngestsSignal(t *testing.T) {
 	if snap.Totals.Relayed != 1 || snap.Totals.Requests != 1 {
 		t.Fatalf("totals: %+v", snap.Totals)
 	}
+	// New starts the first health sweep asynchronously, so the backend
+	// that did not serve the request may not have been probed yet: wait
+	// for the sweep instead of assuming it beat the request.
+	waitFor(t, "the first health sweep", func() bool {
+		for _, bs := range p.SnapshotNow().Backends {
+			if bs.Signal == nil {
+				return false
+			}
+		}
+		return true
+	})
+	snap = p.SnapshotNow()
 	servedBy := resp.Header.Get(BackendHeader)
 	for _, bs := range snap.Backends {
 		if bs.Signal == nil {

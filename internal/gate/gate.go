@@ -8,9 +8,10 @@
 // found pure admission control responsive enough and smoother).
 //
 // Two implementations share the policy: Gate is the single-threaded variant
-// driven by the discrete-event simulator, and Live (live.go) is a
-// goroutine-safe semaphore with a dynamically adjustable limit for real Go
-// programs.
+// driven by the discrete-event simulator, and Multi (multi.go) is the
+// goroutine-safe live gate with dynamically adjustable limits for real Go
+// programs — multi-class for the server, single-class for the public
+// AdaptiveGate.
 package gate
 
 import (

@@ -12,27 +12,27 @@ import (
 // TestLiveRejectedCounter checks that non-blocking admission failures are
 // counted separately from queued admits and timeouts.
 func TestLiveRejectedCounter(t *testing.T) {
-	l := NewLive(1)
-	if !l.TryAcquire() {
+	l := single(t, 1)
+	if !l.TryAcquire(0) {
 		t.Fatal("first TryAcquire should succeed")
 	}
 	for i := 0; i < 3; i++ {
-		if l.TryAcquire() {
+		if l.TryAcquire(0) {
 			t.Fatal("TryAcquire above the limit should fail")
 		}
 	}
-	st := l.Stats()
+	st := l.AggregateStats()
 	if st.Rejected != 3 {
 		t.Fatalf("Rejected = %d, want 3", st.Rejected)
 	}
 	if st.Admitted != 1 || st.Arrivals != 4 {
 		t.Fatalf("Admitted/Arrivals = %d/%d, want 1/4", st.Admitted, st.Arrivals)
 	}
-	l.Release()
-	if !l.TryAcquire() {
+	l.Release(0)
+	if !l.TryAcquire(0) {
 		t.Fatal("TryAcquire after Release should succeed")
 	}
-	if got := l.Stats().Rejected; got != 3 {
+	if got := l.AggregateStats().Rejected; got != 3 {
 		t.Fatalf("Rejected after recovery = %d, want 3", got)
 	}
 }
@@ -43,7 +43,7 @@ func TestLiveRejectedCounter(t *testing.T) {
 // Run with -race; the final invariant catches leaked or double-counted
 // slots.
 func TestLiveAcquireCancelVsSetLimit(t *testing.T) {
-	l := NewLive(0)
+	l := single(t, 0)
 	var (
 		wg        sync.WaitGroup
 		admitted  atomic.Int64
@@ -56,11 +56,11 @@ func TestLiveAcquireCancelVsSetLimit(t *testing.T) {
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
-				l.SetLimit(math.Inf(1)) // drain everyone still queued
+				l.SetPoolLimit(math.Inf(1)) // drain everyone still queued
 				return
 			default:
 			}
-			l.SetLimit(float64(i % 4))
+			l.SetPoolLimit(float64(i % 4))
 		}
 	}()
 
@@ -73,11 +73,11 @@ func TestLiveAcquireCancelVsSetLimit(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				d := time.Duration(seed+int64(i)) % 50 * time.Microsecond
 				ctx, cancel := context.WithTimeout(context.Background(), d)
-				err := l.Acquire(ctx)
+				err := l.Acquire(ctx, 0)
 				cancel()
 				if err == nil {
 					admitted.Add(1)
-					l.Release()
+					l.Release(0)
 				} else {
 					cancelled.Add(1)
 				}
@@ -105,7 +105,7 @@ func TestLiveAcquireCancelVsSetLimit(t *testing.T) {
 	if q := l.Queued(); q != 0 {
 		t.Fatalf("leaked %d queued waiters", q)
 	}
-	st := l.Stats()
+	st := l.AggregateStats()
 	if st.Admitted+st.Timeouts != st.Arrivals {
 		t.Fatalf("counter mismatch: admitted %d + timeouts %d != arrivals %d",
 			st.Admitted, st.Timeouts, st.Arrivals)
@@ -121,7 +121,7 @@ func TestLiveAcquireCancelVsSetLimit(t *testing.T) {
 // raced its cancellation handed the slot back but stayed counted in
 // Admitted, so Admitted overcounted client successes. Run with -race.
 func TestLiveCancelAdmitCounterIdentity(t *testing.T) {
-	l := NewLive(0)
+	l := single(t, 0)
 	var (
 		wg          sync.WaitGroup
 		gotSlot     atomic.Int64 // blocking acquires the caller saw succeed
@@ -136,11 +136,11 @@ func TestLiveCancelAdmitCounterIdentity(t *testing.T) {
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
-				l.SetLimit(math.Inf(1)) // drain everyone still queued
+				l.SetPoolLimit(math.Inf(1)) // drain everyone still queued
 				return
 			default:
 			}
-			l.SetLimit(float64(i % 3))
+			l.SetPoolLimit(float64(i % 3))
 		}
 	}()
 
@@ -154,9 +154,9 @@ func TestLiveCancelAdmitCounterIdentity(t *testing.T) {
 				if i%7 == 0 {
 					// Mix in the non-blocking path so Rejected participates
 					// in the identity too.
-					if l.TryAcquire() {
+					if l.TryAcquire(0) {
 						tryOK.Add(1)
-						l.Release()
+						l.Release(0)
 					} else {
 						tryRejected.Add(1)
 					}
@@ -164,11 +164,11 @@ func TestLiveCancelAdmitCounterIdentity(t *testing.T) {
 				}
 				d := time.Duration(seed+int64(i)) % 40 * time.Microsecond
 				ctx, cancel := context.WithTimeout(context.Background(), d)
-				err := l.Acquire(ctx)
+				err := l.Acquire(ctx, 0)
 				cancel()
 				if err == nil {
 					gotSlot.Add(1)
-					l.Release()
+					l.Release(0)
 				} else {
 					gaveUp.Add(1)
 				}
@@ -189,7 +189,7 @@ func TestLiveCancelAdmitCounterIdentity(t *testing.T) {
 	if a, q := l.Active(), l.Queued(); a != 0 || q != 0 {
 		t.Fatalf("leaked state: active=%d queued=%d", a, q)
 	}
-	st := l.Stats()
+	st := l.AggregateStats()
 	if want := uint64(gotSlot.Load() + tryOK.Load()); st.Admitted != want {
 		t.Fatalf("Admitted = %d, but callers observed %d successful acquires", st.Admitted, want)
 	}
@@ -210,7 +210,7 @@ func TestLiveCancelAdmitCounterIdentity(t *testing.T) {
 // checks admissions happen strictly in arrival order.
 func TestLiveFCFSOrderUnderLimitChanges(t *testing.T) {
 	const n = 32
-	l := NewLive(0)
+	l := single(t, 0)
 	var (
 		mu    sync.Mutex
 		order []int
@@ -220,7 +220,7 @@ func TestLiveFCFSOrderUnderLimitChanges(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			if err := l.Acquire(context.Background()); err != nil {
+			if err := l.Acquire(context.Background(), 0); err != nil {
 				t.Errorf("waiter %d: %v", id, err)
 				return
 			}
@@ -248,7 +248,7 @@ func TestLiveFCFSOrderUnderLimitChanges(t *testing.T) {
 		return len(order)
 	}
 	for i := 1; i <= n; i++ {
-		l.SetLimit(float64(i))
+		l.SetPoolLimit(float64(i))
 		deadline := time.Now().Add(5 * time.Second)
 		for recorded() != i {
 			if time.Now().After(deadline) {
@@ -259,7 +259,7 @@ func TestLiveFCFSOrderUnderLimitChanges(t *testing.T) {
 		if i%5 == 0 {
 			// Nobody releases, so shrinking below the active count must
 			// leave the queue untouched.
-			l.SetLimit(float64(i - 3))
+			l.SetPoolLimit(float64(i - 3))
 			time.Sleep(time.Millisecond)
 			if got := recorded(); got != i {
 				t.Fatalf("shrink admitted extra waiters: %d recorded, want %d", got, i)
@@ -281,15 +281,15 @@ func TestLiveFCFSOrderUnderLimitChanges(t *testing.T) {
 // TestLiveShrinkBelowActive checks that lowering the limit under the
 // current active count admits nobody until enough releases happen.
 func TestLiveShrinkBelowActive(t *testing.T) {
-	l := NewLive(4)
+	l := single(t, 4)
 	for i := 0; i < 4; i++ {
-		if !l.TryAcquire() {
+		if !l.TryAcquire(0) {
 			t.Fatalf("setup acquire %d failed", i)
 		}
 	}
-	l.SetLimit(2)
+	l.SetPoolLimit(2)
 	waitErr := make(chan error, 1)
-	go func() { waitErr <- l.Acquire(context.Background()) }()
+	go func() { waitErr <- l.Acquire(context.Background(), 0) }()
 	deadline := time.Now().Add(5 * time.Second)
 	for l.Queued() != 1 {
 		if time.Now().After(deadline) {
@@ -297,14 +297,14 @@ func TestLiveShrinkBelowActive(t *testing.T) {
 		}
 		time.Sleep(10 * time.Microsecond)
 	}
-	l.Release() // active 3, still above limit 2: waiter must stay queued
+	l.Release(0) // active 3, still above limit 2: waiter must stay queued
 	select {
 	case <-waitErr:
 		t.Fatal("waiter admitted while active above the shrunken limit")
 	case <-time.After(10 * time.Millisecond):
 	}
-	l.Release() // active 2: at the limit, still no slot
-	l.Release() // active 1 < 2: now the waiter fits
+	l.Release(0) // active 2: at the limit, still no slot
+	l.Release(0) // active 1 < 2: now the waiter fits
 	select {
 	case err := <-waitErr:
 		if err != nil {

@@ -66,10 +66,6 @@ type Store struct {
 	// released Txn keeps its (cleared) read/write maps, so the serving
 	// hot path begins and commits transactions without allocating.
 	txns sync.Pool
-
-	// gc, when non-nil, routes Commit through the group-commit batcher
-	// (EnableGroupCommit).
-	gc *groupCommitter
 }
 
 // NewStore returns a store with n zero-valued items and an automatic
@@ -269,9 +265,6 @@ func (t *Txn) Set(i int, v int64) { t.writes[i] = v }
 //loadctl:hotpath
 func (t *Txn) Commit() error {
 	touched := t.touchedMask()
-	if t.s.gc != nil {
-		return t.s.gc.commit(t, touched)
-	}
 	t.s.lockShards(touched)
 	err := t.s.certifyApplyLocked(t, touched)
 	t.s.unlockShards(touched)
@@ -298,10 +291,8 @@ func (t *Txn) touchedMask() uint64 {
 }
 
 // certifyApplyLocked validates t's read set and installs its write set,
-// filing the commit or abort on the first shard t itself touches — the
-// identical accounting whether the commit came through the direct path
-// or a group-commit batch. The caller holds (at least) the locks of the
-// shards in touched.
+// filing the commit or abort on the first shard t itself touches. The
+// caller holds the locks of the shards in touched.
 //
 //loadctl:hotpath
 func (s *Store) certifyApplyLocked(t *Txn, touched uint64) error {

@@ -367,3 +367,39 @@ func TestClassStats(t *testing.T) {
 
 // s1Commit is a tiny helper so the happy-path commit reads as one call.
 func s1Commit(txn *Txn) error { return txn.Commit() }
+
+// TestBeginPooledReuse checks the pooled transaction lifecycle: a
+// released transaction comes back with cleared read/write sets and
+// default class, and behaves exactly like a fresh Begin.
+func TestBeginPooledReuse(t *testing.T) {
+	s := NewStore(8)
+	txn := s.BeginPooled().WithClass(3)
+	txn.Set(1, 7)
+	txn.Get(2)
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	txn.Release()
+
+	again := s.BeginPooled()
+	if len(again.readVers) != 0 || len(again.writes) != 0 {
+		t.Fatalf("pooled txn not cleared: %d reads, %d writes", len(again.readVers), len(again.writes))
+	}
+	if again.class != 0 {
+		t.Fatalf("pooled txn class = %d, want 0", again.class)
+	}
+	if v := again.Get(1); v != 7 {
+		t.Fatalf("pooled txn reads stale value %d", v)
+	}
+	again.Set(1, 8)
+	if err := again.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	again.Release()
+	if c, _ := s.ClassStats(0); c != 1 {
+		t.Fatalf("class-0 commits = %d, want 1 (class must reset on reuse)", c)
+	}
+	if c, _ := s.ClassStats(3); c != 1 {
+		t.Fatalf("class-3 commits = %d, want 1", c)
+	}
+}

@@ -36,7 +36,11 @@
 // cluster.
 package obs
 
-import "sync/atomic"
+import (
+	"cmp"
+	"slices"
+	"sync/atomic"
+)
 
 // Event kinds — the overload vocabulary shared by every tier.
 const (
@@ -119,16 +123,24 @@ func (r *Ring) Put(e *Event) {
 	r.slots[i%uint64(len(r.slots))].Store(e)
 }
 
-// Snapshot collects the retained events, oldest first (best effort under
-// a concurrent writer, like the reqtrace ring).
+// Snapshot collects the retained events, oldest first. A concurrent
+// writer can lap the scan, so a slot read early may hold an event more
+// than a ring's length older than one read late. The writer numbers its
+// events with a monotone Seq, so such overwritten-generation events are
+// dropped and the rest put in Seq order: a snapshot is always a subset of
+// the last len(ring) events.
 func (r *Ring) Snapshot() []Event {
 	n := uint64(len(r.slots))
 	pos := r.pos.Load()
 	out := make([]Event, 0, n)
+	var newest uint64
 	for i := uint64(0); i < n; i++ {
 		if e := r.slots[(pos+i)%n].Load(); e != nil {
 			out = append(out, *e)
+			newest = max(newest, e.Seq)
 		}
 	}
+	out = slices.DeleteFunc(out, func(e Event) bool { return e.Seq+n <= newest })
+	slices.SortStableFunc(out, func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }

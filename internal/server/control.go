@@ -153,6 +153,7 @@ func (s *Server) tick(now time.Time) []ctl.Decision {
 	poolLimit := s.multi.Limit()
 	s.mu.Unlock()
 	s.shedMask.Store(shed)
+	s.sigSeq.Add(1) // after the mask: cached load signals are now stale
 	s.observeTick(t, cds, poolLimit, decisions)
 	return decisions
 }

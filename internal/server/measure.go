@@ -141,12 +141,12 @@ type Snapshot struct {
 	Engine     string  `json:"engine"`
 	Controller string  `json:"controller"`
 	// Mode is "pool", "perclass" or "slo" — what the controllers steer.
-	Mode   string         `json:"mode"`
-	Limit  float64        `json:"limit"`
-	Active int            `json:"active"`
-	Queued int            `json:"queued"`
-	Gate   gate.LiveStats `json:"gate"`
-	Totals Totals         `json:"totals"`
+	Mode   string      `json:"mode"`
+	Limit  float64     `json:"limit"`
+	Active int         `json:"active"`
+	Queued int         `json:"queued"`
+	Gate   gate.Counts `json:"gate"`
+	Totals Totals      `json:"totals"`
 	// Interval is the most recently closed measurement interval (zero
 	// value until the first interval closes).
 	Interval IntervalStats `json:"interval"`
@@ -222,36 +222,45 @@ func (s *Server) SnapshotNow(withHistory bool) Snapshot {
 }
 
 // cachedSignal is one rendered load signal; the header string is the
-// encoded form attached to every response.
+// encoded form attached to every response. seq is the control interval
+// (sigSeq) it was built in.
 type cachedSignal struct {
 	sig    loadsig.Signal
 	header string
+	seq    uint64
 }
 
-// signalTTL bounds how stale the cached load signal may get. 50ms is well
-// below any realistic health-check interval while keeping the refresh —
-// one gate Stats() call — off the per-request path.
+// signalTTL bounds how stale the active/queued gauges of the cached load
+// signal may get. 50ms is well below any realistic health-check interval
+// while keeping the refresh — one gate Stats() call — off the per-request
+// path. The per-interval state (the shed mask) is never stale: a signal
+// built in an earlier control interval is rebuilt regardless of its age.
 const signalTTL = 50 * time.Millisecond
 
-// loadSignal returns the current (possibly up to signalTTL stale) load
-// signal. The first caller past the TTL wins a CAS and rebuilds; everyone
-// else keeps the previous value, so concurrent requests never stack up on
-// the gate's mutex just to report load.
+// loadSignal returns the current load signal. A signal from the current
+// control interval is reused until signalTTL passes; then the first
+// caller wins a CAS and rebuilds while everyone else keeps the previous
+// value, so concurrent requests never stack up on the gate's mutex just
+// to report load. A signal from an earlier interval is never reused, so
+// a shed pulse reaches the signal in the interval it is set.
 func (s *Server) loadSignal() *cachedSignal {
 	now := time.Since(s.start).Nanoseconds()
+	// Read the sequence before the shed mask below: a tick landing in
+	// between leaves a signal stamped with the older sequence, which the
+	// next call rebuilds.
+	seq := s.sigSeq.Load()
 	stamp := s.sigStamp.Load()
-	if c := s.sigCache.Load(); c != nil && now-stamp < signalTTL.Nanoseconds() {
+	c := s.sigCache.Load()
+	if c != nil && c.seq == seq && now-stamp < signalTTL.Nanoseconds() {
 		return c
 	}
-	if !s.sigStamp.CompareAndSwap(stamp, now) {
-		if c := s.sigCache.Load(); c != nil {
-			return c
-		}
+	if !s.sigStamp.CompareAndSwap(stamp, now) && c != nil && c.seq == seq {
+		return c
 	}
-	st := s.multi.Stats() //loadctl:allocok audited: TTL refresh branch — at most one caller per 50ms reaches here
+	st := s.multi.Stats() //loadctl:allocok audited: refresh branch — reached about once per 50ms TTL and once per control interval, not per request
 	sig := loadsig.Signal{
 		Status:  loadsig.StatusOK,
-		Limit:   s.multi.Limit(), //loadctl:allocok audited: TTL refresh branch — see Stats above
+		Limit:   s.multi.Limit(), //loadctl:allocok audited: refresh branch — see Stats above
 		Active:  st.Active,
 		Queued:  st.Queued,
 		Default: s.classes[0].Name,
@@ -269,7 +278,7 @@ func (s *Server) loadSignal() *cachedSignal {
 	// Open incident count rides the signal so routing tiers see incident
 	// pressure without scraping the dump (atomic load; refresh-path only).
 	sig.Incidents = s.obsRec.OpenCount()
-	c := &cachedSignal{sig: sig, header: sig.Encode()}
+	c = &cachedSignal{sig: sig, header: sig.Encode(), seq: seq}
 	s.sigCache.Store(c)
 	return c
 }

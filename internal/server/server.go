@@ -177,11 +177,13 @@ type Server struct {
 
 	// Load-signal state for the cluster routing tier. draining flips once
 	// on BeginDrain; shedMask holds one bit per class that shed load
-	// (timeouts or rejections) during the last closed interval; the
-	// rendered signal is cached and refreshed at most every signalTTL so
-	// attaching it to every response stays off the gate's mutex.
+	// (timeouts or rejections) during the last closed interval, and
+	// sigSeq counts closed intervals; the rendered signal is cached and
+	// refreshed once per interval and at most every signalTTL within one,
+	// so attaching it to every response stays off the gate's mutex.
 	draining atomic.Bool
 	shedMask atomic.Uint64
+	sigSeq   atomic.Uint64
 	sigCache atomic.Pointer[cachedSignal]
 	sigStamp atomic.Int64 // nanos since start of the last refresh
 

@@ -2,10 +2,12 @@ package loadctl
 
 import (
 	"context"
-	"sync"
+	"sync/atomic"
 	"time"
 
+	"github.com/tpctl/loadctl/internal/ctl"
 	"github.com/tpctl/loadctl/internal/gate"
+	"github.com/tpctl/loadctl/internal/telemetry"
 )
 
 // AdaptiveGateConfig configures a live adaptive admission gate.
@@ -26,23 +28,35 @@ type AdaptiveGateConfig struct {
 // Observe reports completions; a background loop periodically feeds the
 // measured (load, throughput) pair to the Controller and installs the new
 // limit.
+//
+// It is the server's machinery with one class: admission through a
+// single-class gate.Multi, sensing through one telemetry.Counters group
+// closed by telemetry.CloseInterval, and the interval loop a ctl.Loop.
 type AdaptiveGate struct {
-	cfg  AdaptiveGateConfig
-	gate *gate.Live
-	now  func() time.Time
-
-	mu        sync.Mutex
-	active    int
-	lastT     time.Time
-	lastTick  time.Time // previous interval boundary (for the true Δt)
-	area      float64   // ∫ active dt within the current interval
-	successes uint64
-	failures  uint64
-
+	cfg   AdaptiveGateConfig
+	gate  *gate.Multi
+	tel   *telemetry.Counters
+	seq   atomic.Uint64 // selects the counter stripe per call
 	start time.Time
-	stop  chan struct{}
-	done  chan struct{}
+
+	// Interval state, touched only by the loop goroutine.
+	lastTick time.Time
+	prev     telemetry.Accum
+
+	loop *ctl.Loop
 }
+
+// Counter schema of the gate's single telemetry group. Each event count
+// precedes its timestamp sum, so writers add the timestamp first (see
+// telemetry.Counters for the ordering protocol).
+const (
+	gCommits = iota
+	gAborts
+	gEntries
+	gEntryNanos
+	gExits
+	gExitNanos
+)
 
 // NewAdaptiveGate starts the measurement loop and returns the gate. Close
 // must be called to stop the loop.
@@ -56,55 +70,62 @@ func NewAdaptiveGate(cfg AdaptiveGateConfig) *AdaptiveGate {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
+	m, err := gate.NewMulti([]gate.ClassSpec{{Name: "default"}}, cfg.Controller.Bound())
+	if err != nil {
+		panic("loadctl: " + err.Error())
+	}
 	g := &AdaptiveGate{
 		cfg:  cfg,
-		gate: gate.NewLive(cfg.Controller.Bound()),
-		now:  cfg.Now,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		gate: m,
+		tel:  telemetry.NewCounters(1, "commits", "aborts", "entries", "entry_nanos", "exits", "exit_nanos"),
 	}
-	g.start = g.now()
-	g.lastT = g.start
+	g.start = cfg.Now()
 	g.lastTick = g.start
-	go g.loop()
+	g.loop = ctl.Start(ctl.Config{Interval: cfg.Interval, Tick: g.closeInterval})
 	return g
 }
 
 // Acquire blocks until a slot is free or ctx is done (FCFS).
 func (g *AdaptiveGate) Acquire(ctx context.Context) error {
-	if err := g.gate.Acquire(ctx); err != nil {
+	if err := g.gate.Acquire(ctx, 0); err != nil {
 		return err
 	}
-	g.note(+1)
+	g.note(gEntries, gEntryNanos)
 	return nil
 }
 
 // TryAcquire takes a slot without blocking; it reports success.
 func (g *AdaptiveGate) TryAcquire() bool {
-	if !g.gate.TryAcquire() {
+	if !g.gate.TryAcquire(0) {
 		return false
 	}
-	g.note(+1)
+	g.note(gEntries, gEntryNanos)
 	return true
 }
 
 // Release frees a slot taken by Acquire/TryAcquire.
 func (g *AdaptiveGate) Release() {
-	g.gate.Release()
-	g.note(-1)
+	g.gate.Release(0)
+	g.note(gExits, gExitNanos)
 }
 
 // Observe reports the outcome of one unit of work: success feeds the
 // throughput signal, failure (e.g. an OCC conflict abort) the conflict
 // rate.
 func (g *AdaptiveGate) Observe(success bool) {
-	g.mu.Lock()
+	i := gAborts
 	if success {
-		g.successes++
-	} else {
-		g.failures++
+		i = gCommits
 	}
-	g.mu.Unlock()
+	g.tel.Cell(0, g.seq.Add(1)).Inc(i)
+}
+
+// note records one admission entry or exit for the load integrator:
+// timestamp first, count second.
+func (g *AdaptiveGate) note(count, nanos int) {
+	cell := g.tel.Cell(0, g.seq.Add(1))
+	cell.Add(nanos, uint64(g.cfg.Now().Sub(g.start).Nanoseconds()))
+	cell.Inc(count)
 }
 
 // Limit returns the current concurrency limit.
@@ -119,75 +140,39 @@ func (g *AdaptiveGate) Queued() int { return g.gate.Queued() }
 // GateStats is a snapshot of admission counters: total arrivals, admitted,
 // non-blocking rejections (TryAcquire at a full gate), context-cancelled
 // waits, and the high-water mark of the wait queue.
-type GateStats = gate.LiveStats
+type GateStats = gate.Counts
 
 // Stats returns a snapshot of the gate's admission counters.
-func (g *AdaptiveGate) Stats() GateStats { return g.gate.Stats() }
+func (g *AdaptiveGate) Stats() GateStats { return g.gate.AggregateStats() }
 
 // Close stops the measurement loop. The gate itself remains usable with
 // its last limit.
-func (g *AdaptiveGate) Close() {
-	close(g.stop)
-	<-g.done
-}
+func (g *AdaptiveGate) Close() { g.loop.Close() }
 
-// note integrates the active count over time.
-func (g *AdaptiveGate) note(delta int) {
-	now := g.now()
-	g.mu.Lock()
-	g.area += float64(g.active) * now.Sub(g.lastT).Seconds()
-	g.lastT = now
-	g.active += delta
-	g.mu.Unlock()
-}
-
-// loop closes measurement intervals and drives the controller.
-func (g *AdaptiveGate) loop() {
-	defer close(g.done)
-	ticker := time.NewTicker(g.cfg.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-g.stop:
-			return
-		case <-ticker.C:
-			g.tick()
-		}
-	}
-}
-
-func (g *AdaptiveGate) tick() {
-	now := g.now()
-	g.mu.Lock()
-	g.area += float64(g.active) * now.Sub(g.lastT).Seconds()
-	g.lastT = now
-	// Divide by the actually elapsed window, not the configured interval:
-	// a ticker firing late under CPU saturation would otherwise inflate
-	// load and throughput exactly when accurate samples matter most.
-	dt := now.Sub(g.lastTick).Seconds()
+// closeInterval is the loop's tick. It reads cfg.Now rather than the
+// loop's wall clock so a fake clock drives the whole interval math, and
+// divides by the actually elapsed window: a ticker firing late under CPU
+// saturation would otherwise inflate load and throughput exactly when
+// accurate samples matter most.
+func (g *AdaptiveGate) closeInterval(time.Time) []ctl.Decision {
+	now := g.cfg.Now()
+	dt := now.Sub(g.lastTick).Nanoseconds()
 	g.lastTick = now
 	if dt <= 0 {
-		dt = g.cfg.Interval.Seconds()
+		dt = g.cfg.Interval.Nanoseconds()
 	}
-	load := g.area / dt
-	succ := g.successes
-	fail := g.failures
-	g.area = 0
-	g.successes = 0
-	g.failures = 0
-	g.mu.Unlock()
-
-	sample := Sample{
-		Time:        now.Sub(g.start).Seconds(),
-		Load:        load,
-		Throughput:  float64(succ) / dt,
-		Perf:        float64(succ) / dt,
-		Completions: succ,
+	f := g.tel.Fold(0)
+	cur := telemetry.Accum{
+		Commits:    f[gCommits],
+		Aborts:     f[gAborts],
+		Entries:    f[gEntries],
+		EntryNanos: f[gEntryNanos],
+		Exits:      f[gExits],
+		ExitNanos:  f[gExitNanos],
 	}
-	if succ > 0 {
-		sample.ConflictRate = float64(fail) / float64(succ)
-	} else {
-		sample.ConflictRate = float64(fail)
-	}
-	g.gate.SetLimit(g.cfg.Controller.Update(sample))
+	since := now.Sub(g.start)
+	_, sample := telemetry.CloseInterval(since.Seconds(), cur, g.prev, since.Nanoseconds(), dt)
+	g.prev = cur
+	g.gate.SetPoolLimit(g.cfg.Controller.Update(sample))
+	return nil
 }

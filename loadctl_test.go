@@ -220,3 +220,146 @@ func (r *recordingController) Update(s Sample) float64 {
 }
 func (r *recordingController) Bound() float64 { return r.bound }
 func (r *recordingController) Name() string   { return "recording" }
+
+// steppedController hands each sample to the test and holds the loop
+// inside Update until the test resumes it. While a tick is parked there
+// it has already read the clock and the counters, so everything the test
+// does before resuming lands wholly inside the next interval: interval
+// boundaries become deterministic even though the loop runs on a real
+// ticker.
+type steppedController struct {
+	bound   float64
+	samples chan Sample
+	resume  chan struct{}
+	done    chan struct{}
+}
+
+func newSteppedController(bound float64) *steppedController {
+	return &steppedController{
+		bound:   bound,
+		samples: make(chan Sample),
+		resume:  make(chan struct{}),
+		done:    make(chan struct{}),
+	}
+}
+
+func (c *steppedController) Update(s Sample) float64 {
+	select {
+	case c.samples <- s:
+		select {
+		case <-c.resume:
+		case <-c.done:
+		}
+	case <-c.done:
+	}
+	return c.bound
+}
+func (c *steppedController) Bound() float64 { return c.bound }
+func (c *steppedController) Name() string   { return "stepped" }
+
+// next resumes the parked tick (if any) and returns the following sample.
+func (c *steppedController) next(t *testing.T, parked bool) Sample {
+	t.Helper()
+	if parked {
+		c.resume <- struct{}{}
+	}
+	select {
+	case s := <-c.samples:
+		return s
+	case <-time.After(5 * time.Second):
+		t.Fatal("controller never received a sample")
+		return Sample{}
+	}
+}
+
+// fakeClock is a settable clock for AdaptiveGateConfig.Now.
+type fakeClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
+
+func startStepped(t *testing.T, bound float64) (*AdaptiveGate, *steppedController, *fakeClock) {
+	clock := &fakeClock{now: time.Unix(0, 0)}
+	ctrl := newSteppedController(bound)
+	g := NewAdaptiveGate(AdaptiveGateConfig{
+		Controller: ctrl,
+		Interval:   5 * time.Millisecond,
+		Now:        clock.Now,
+	})
+	t.Cleanup(func() {
+		close(ctrl.done)
+		g.Close()
+	})
+	return g, ctrl, clock
+}
+
+// TestAdaptiveGateZeroCommitConflictRate: an interval in which every
+// attempt failed reports the documented aborts-per-attempt fallback of 1,
+// the same as the server — not the raw failure count.
+func TestAdaptiveGateZeroCommitConflictRate(t *testing.T) {
+	g, ctrl, clock := startStepped(t, 4)
+	ctrl.next(t, false) // park the loop at an interval boundary
+
+	for i := 0; i < 3; i++ {
+		g.Observe(false)
+	}
+	clock.advance(50 * time.Millisecond)
+	s := ctrl.next(t, true)
+	if s.Completions != 0 {
+		t.Fatalf("completions = %d, want 0", s.Completions)
+	}
+	if s.ConflictRate != 1 {
+		t.Fatalf("conflict rate with 0 commits and 3 aborts = %v, want 1", s.ConflictRate)
+	}
+
+	// An idle interval reports no conflicts at all.
+	clock.advance(50 * time.Millisecond)
+	if s := ctrl.next(t, true); s.ConflictRate != 0 {
+		t.Fatalf("idle interval conflict rate = %v, want 0", s.ConflictRate)
+	}
+}
+
+// TestAdaptiveGateLoadIsTimeAveragedSlots: Sample.Load is the number of
+// held slots averaged over the interval's elapsed time, and an interval
+// in which no time passed reports the slots held right now.
+func TestAdaptiveGateLoadIsTimeAveragedSlots(t *testing.T) {
+	g, ctrl, clock := startStepped(t, 4)
+	ctrl.next(t, false)
+
+	// Two slots for 10ms, then one for 30ms: (2·10 + 1·30)/40 = 1.25.
+	if !g.TryAcquire() || !g.TryAcquire() {
+		t.Fatal("two slots should be free at limit 4")
+	}
+	clock.advance(10 * time.Millisecond)
+	g.Release()
+	clock.advance(30 * time.Millisecond)
+	s := ctrl.next(t, true)
+	if math.Abs(s.Load-1.25) > 1e-9 {
+		t.Fatalf("load = %v, want 1.25", s.Load)
+	}
+
+	// One slot held throughout a whole interval averages to exactly 1.
+	clock.advance(20 * time.Millisecond)
+	if s := ctrl.next(t, true); math.Abs(s.Load-1) > 1e-9 {
+		t.Fatalf("load with one slot held = %v, want 1", s.Load)
+	}
+
+	// A tick on a clock that has not moved still reports the one held
+	// slot, not an empty gate.
+	if s := ctrl.next(t, true); math.Abs(s.Load-1) > 1e-9 {
+		t.Fatalf("load over a zero-length window = %v, want 1", s.Load)
+	}
+	g.Release()
+}
