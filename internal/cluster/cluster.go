@@ -52,6 +52,7 @@ import (
 	"github.com/tpctl/loadctl/internal/obs"
 	"github.com/tpctl/loadctl/internal/reqtrace"
 	"github.com/tpctl/loadctl/internal/telemetry"
+	"github.com/tpctl/loadctl/internal/wire"
 )
 
 // BackendHeader names the response header the proxy adds with the index
@@ -441,10 +442,7 @@ func (p *Proxy) handleTxn(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	class, plain := queryClassFast(r.URL.RawQuery)
-	if !plain {
-		class = r.URL.Query().Get("class") //loadctl:allocok audited: escaped query strings only — plain queries take the zero-alloc scan
-	}
+	class := queryClass(r.URL.RawQuery)
 	tr.Annotate(class)
 	var tried uint64
 	t0 := tr.Start()
@@ -624,10 +622,10 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, sc *relayScratch
 	h := w.Header()
 	for _, key := range relayHeaders {
 		if v := resp.Header.Get(key); v != "" {
-			setHeader(h, key, v)
+			wire.SetHeader(h, key, v)
 		}
 	}
-	setHeader(h, BackendHeader, b.indexStr)
+	wire.SetHeader(h, BackendHeader, b.indexStr)
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.CopyBuffer(w, resp.Body, sc.copyBuf)
 	return true, nil

@@ -15,9 +15,9 @@
 package cluster
 
 import (
-	"net/http"
-	"strings"
 	"sync"
+
+	"github.com/tpctl/loadctl/internal/wire"
 )
 
 // relayScratch is the pooled working state of one relay pass.
@@ -45,48 +45,16 @@ func getRelayScratch() *relayScratch {
 //loadctl:hotpath
 func putRelayScratch(sc *relayScratch) { relayScratchPool.Put(sc) }
 
-// queryClassFast extracts the first "class" query parameter from a raw
-// query string without allocating, agreeing with url.Values.Get on the
-// plain subset (no %-escapes, '+' or ';' anywhere in the string);
-// ok=false means the query uses escapes and the caller must fall back to
-// full url.Values parsing.
+// queryClass returns the request's admission class: the first "class"
+// query parameter, decoded as url.Values.Get("class") would, without
+// allocating on plain queries.
 //
 //loadctl:hotpath
-func queryClassFast(raw string) (class string, ok bool) {
-	for i := 0; i < len(raw); i++ {
-		if c := raw[i]; c == '%' || c == '+' || c == ';' {
-			return "", false
-		}
-	}
-	for len(raw) > 0 {
-		pair := raw
-		if j := strings.IndexByte(raw, '&'); j >= 0 {
-			pair, raw = raw[:j], raw[j+1:]
-		} else {
-			raw = ""
-		}
-		key, val := pair, ""
-		if j := strings.IndexByte(pair, '='); j >= 0 {
-			key, val = pair[:j], pair[j+1:]
-		}
+func queryClass(raw string) string {
+	for key, val, rest, ok := wire.NextQueryPair(raw); ok; key, val, rest, ok = wire.NextQueryPair(rest) {
 		if key == "class" {
-			return val, true
+			return val
 		}
 	}
-	return "", true
-}
-
-// setHeader installs key: value like Header.Set but overwrites in place
-// when the slot already holds exactly one value — Set allocates a fresh
-// one-element slice every call, which on a reused response header map
-// (keep-alive connections, pooled recorders) is pure churn. key must
-// already be in canonical form; every caller passes a canonical constant.
-//
-//loadctl:hotpath
-func setHeader(h http.Header, key, value string) {
-	if vs := h[key]; len(vs) == 1 {
-		vs[0] = value
-		return
-	}
-	h[key] = []string{value} //loadctl:allocok audited: first write to this header slot; later writes reuse the slice in place
+	return ""
 }

@@ -28,9 +28,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/tpctl/loadctl/internal/metrics"
 	"github.com/tpctl/loadctl/internal/reqtrace"
 	"github.com/tpctl/loadctl/internal/sim"
+	"github.com/tpctl/loadctl/internal/telemetry"
 	"github.com/tpctl/loadctl/internal/workload"
 )
 
@@ -94,6 +94,8 @@ type Config struct {
 	// /debug/requests rings under the same identifier.
 	Trace bool
 	// Client overrides the HTTP client (tests); Timeout is ignored then.
+	// Without one, the run pools one connection per request it can have
+	// in flight: Clients in closed loop, MaxInFlight in open loop.
 	Client *http.Client
 }
 
@@ -116,10 +118,24 @@ func (c Config) withDefaults() Config {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 4096
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: c.Timeout}
-	}
 	return c
+}
+
+// newClient is the HTTP client of a run that brought none: a private
+// transport pooling one connection per request the run can have in
+// flight (conns), so each response frees a connection for the next
+// request instead of a fresh dial. http.DefaultTransport keeps only 2
+// idle connections per host, so beyond 2 concurrent clients nearly every
+// request dialled. The pool is also capped at conns per host: without
+// the cap, a request that finds every connection busy while earlier
+// dials are still in flight dials again, and a start-up burst leaves
+// more connections than requests.
+func newClient(timeout time.Duration, conns int) *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = conns
+	tr.MaxIdleConnsPerHost = conns
+	tr.MaxConnsPerHost = conns
+	return &http.Client{Timeout: timeout, Transport: tr}
 }
 
 // Report summarizes one run from the client's vantage point.
@@ -162,6 +178,11 @@ type Report struct {
 	// starvation, a stalled connection pool), the missed wait is service
 	// delay the schedule's client would have experienced — dropping it
 	// understates tail latency exactly when the system is in trouble.
+	//
+	// The quantiles are read off the log-bucketed telemetry.Histogram the
+	// server measures with: each is the midpoint of a ±10% bucket, and
+	// everything above ~3.3 s lands in one top bucket, reported as ~3.0 s.
+	// The means are exact.
 	LatMean float64 `json:"lat_mean"`
 	LatP50  float64 `json:"lat_p50"`
 	LatP95  float64 `json:"lat_p95"`
@@ -186,35 +207,56 @@ func (r Report) String() string {
 		1e3*r.LatMean, 1e3*r.LatP50, 1e3*r.LatP95, 1e3*r.LatP99, 1e3*r.LatRawP99, r.Queries, r.Updates)
 }
 
-// collector accumulates thread-safe run statistics.
+// collector accumulates run statistics lock-free: outcome counters, and
+// the committed requests' latencies on the server's own histogram.
 type collector struct {
 	sent, shed, committed, rejected, timeouts, aborted, errs atomic.Uint64
 	unresolved                                               atomic.Uint64
 	queries, updates                                         atomic.Uint64
 
-	mu      sync.Mutex
-	lat     metrics.Welford // corrected: from the intended send slot
-	rawLat  metrics.Welford // raw: from the actual send
-	hist    *metrics.Histogram
-	rawHist *metrics.Histogram
+	lat    latency // corrected: from the intended send slot
+	rawLat latency // raw: from the actual send
 }
 
-func newCollector(timeout time.Duration) *collector {
-	// Bucket committed latencies at 1ms resolution up to 5s (or the HTTP
-	// timeout when lower); slower responses clamp into the top bucket, so
-	// quantiles saturate rather than lose resolution for the common case.
-	span := 5.0
-	if t := timeout.Seconds(); t < span {
-		span = t
+func newCollector() *collector { return &collector{} }
+
+// latency is one lock-free latency record: quantiles from the log-bucketed
+// telemetry.Histogram the server measures with, the mean from an exact
+// nanosecond sum.
+type latency struct {
+	hist telemetry.Histogram
+	ns   atomic.Int64
+}
+
+func (l *latency) observe(d time.Duration) {
+	l.hist.Observe(d.Seconds())
+	l.ns.Add(int64(d))
+}
+
+// latencySum is a plain reading of one or more latency records; readings
+// add, so a scenario's total folds its streams before taking quantiles.
+type latencySum struct {
+	counts telemetry.HistCounts
+	n      uint64
+	ns     int64
+}
+
+func (s *latencySum) add(l *latency) {
+	c := l.hist.Counts()
+	for i, k := range c {
+		s.counts[i] += k
+		s.n += k
 	}
-	buckets := int(span * 1000)
-	if buckets < 1 {
-		buckets = 1
+	s.ns += l.ns.Load()
+}
+
+// stats returns the mean, p50, p95 and p99 in seconds (zeros when empty).
+func (s *latencySum) stats() (mean, p50, p95, p99 float64) {
+	if s.n == 0 {
+		return 0, 0, 0, 0
 	}
-	return &collector{
-		hist:    metrics.NewHistogram(0, span, buckets),
-		rawHist: metrics.NewHistogram(0, span, buckets),
-	}
+	return float64(s.ns) / float64(s.n) / 1e9,
+		s.counts.Quantile(0.50), s.counts.Quantile(0.95), s.counts.Quantile(0.99)
 }
 
 func (c *collector) observe(status int, lat, rawLat time.Duration, err error) {
@@ -225,12 +267,8 @@ func (c *collector) observe(status int, lat, rawLat time.Duration, err error) {
 	switch status {
 	case http.StatusOK:
 		c.committed.Add(1)
-		c.mu.Lock()
-		c.lat.Add(lat.Seconds())
-		c.hist.Add(lat.Seconds())
-		c.rawLat.Add(rawLat.Seconds())
-		c.rawHist.Add(rawLat.Seconds())
-		c.mu.Unlock()
+		c.lat.observe(lat)
+		c.rawLat.observe(rawLat)
 	case http.StatusTooManyRequests:
 		c.rejected.Add(1)
 	case http.StatusServiceUnavailable:
@@ -260,16 +298,11 @@ func (c *collector) report(mode Mode, dur time.Duration) Report {
 	if r.Duration > 0 {
 		r.Throughput = float64(r.Committed) / r.Duration
 	}
-	c.mu.Lock()
-	r.LatMean = c.lat.Mean()
-	r.LatP50 = c.hist.Quantile(0.50)
-	r.LatP95 = c.hist.Quantile(0.95)
-	r.LatP99 = c.hist.Quantile(0.99)
-	r.LatRawMean = c.rawLat.Mean()
-	r.LatRawP50 = c.rawHist.Quantile(0.50)
-	r.LatRawP95 = c.rawHist.Quantile(0.95)
-	r.LatRawP99 = c.rawHist.Quantile(0.99)
-	c.mu.Unlock()
+	var lat, raw latencySum
+	lat.add(&c.lat)
+	raw.add(&c.rawLat)
+	r.LatMean, r.LatP50, r.LatP95, r.LatP99 = lat.stats()
+	r.LatRawMean, r.LatRawP50, r.LatRawP95, r.LatRawP99 = raw.stats()
 	return r
 }
 
@@ -334,11 +367,19 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	if cfg.Mode == Open && cfg.Rate == nil {
 		return Report{}, errors.New("loadgen: open-loop mode needs Config.Rate")
 	}
+	if cfg.Client == nil {
+		conns := cfg.MaxInFlight
+		if cfg.Mode == Closed {
+			conns = cfg.Clients
+		}
+		cfg.Client = newClient(cfg.Timeout, conns)
+		defer cfg.Client.CloseIdleConnections()
+	}
 
 	runCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
 
-	col := newCollector(cfg.Timeout)
+	col := newCollector()
 	start := time.Now()
 	var wg sync.WaitGroup
 

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -242,7 +243,7 @@ func TestCoordinatedOmissionCorrection(t *testing.T) {
 	ts := httptest.NewServer((&stubServer{}).handler())
 	defer ts.Close()
 
-	col := newCollector(time.Second)
+	col := newCollector()
 	const lag = 150 * time.Millisecond
 	for i := 0; i < 4; i++ {
 		intended := time.Now().Add(-lag) // generator woke up lag late
@@ -263,7 +264,7 @@ func TestCoordinatedOmissionCorrection(t *testing.T) {
 
 	// Without an intended slot (closed loop, scenario probes) both tracks
 	// must agree.
-	col = newCollector(time.Second)
+	col = newCollector()
 	if st := issueRequest(context.Background(), ts.Client(), ts.URL, col, txnParams{Class: "query"}, time.Time{}); st != http.StatusOK {
 		t.Fatalf("status %d", st)
 	}
@@ -271,6 +272,99 @@ func TestCoordinatedOmissionCorrection(t *testing.T) {
 	if rep.LatMean != rep.LatRawMean {
 		t.Fatalf("no schedule, but corrected mean %.3fms != raw mean %.3fms", 1e3*rep.LatMean, 1e3*rep.LatRawMean)
 	}
+}
+
+// TestLatencyQuantileResolution checks that the reported quantiles
+// resolve sub-millisecond latencies: against a stub answering in ~0.1 ms
+// the median must not sit far above the mean. On 1 ms linear buckets
+// every such latency read as p50 = 0.5 ms, whatever the mean. The stub
+// spins rather than sleeps (sleeps are ~1 ms-granular), and its 100 µs
+// keeps latencies clear of the histogram's bottom bucket (≤ 50 µs),
+// which a bare loopback round trip can fall into.
+func TestLatencyQuantileResolution(t *testing.T) {
+	stub := (&stubServer{}).handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		for t0 := time.Now(); time.Since(t0) < 100*time.Microsecond; {
+		}
+		stub.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	rep, err := Run(context.Background(), Config{
+		URL:      ts.URL,
+		Mode:     Closed,
+		Clients:  2,
+		Think:    sim.Constant{V: 0.001},
+		Duration: 300 * time.Millisecond,
+		Seed:     5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Committed == 0 {
+		t.Fatal("no committed requests")
+	}
+	if rep.LatP50 > 2*rep.LatMean {
+		t.Fatalf("p50 %.3fms against a mean of %.3fms: quantiles do not resolve the latencies",
+			1e3*rep.LatP50, 1e3*rep.LatMean)
+	}
+}
+
+// TestConnectionReuse checks that a run without a caller-supplied client
+// keeps one pooled connection per concurrent request: zero-think
+// closed-loop clients must not dial more connections than there are
+// clients. http.DefaultTransport keeps 2 idle connections per host, so
+// there nearly every request dialled. The scenario case runs the same
+// population as two closed-loop streams.
+func TestConnectionReuse(t *testing.T) {
+	const clients = 64
+	serve := func(t *testing.T) (string, *atomic.Uint64) {
+		var dials atomic.Uint64
+		ts := httptest.NewUnstartedServer((&stubServer{}).handler())
+		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				dials.Add(1)
+			}
+		}
+		ts.Start()
+		t.Cleanup(ts.Close)
+		return ts.URL, &dials
+	}
+	check := func(t *testing.T, committed uint64, dials *atomic.Uint64) {
+		if committed == 0 {
+			t.Fatal("no committed requests")
+		}
+		if d := dials.Load(); d > clients {
+			t.Fatalf("%d connections dialled for %d clients (%d commits)", d, clients, committed)
+		}
+	}
+	t.Run("run", func(t *testing.T) {
+		url, dials := serve(t)
+		rep, err := Run(context.Background(), Config{
+			URL:      url,
+			Mode:     Closed,
+			Clients:  clients,
+			Think:    sim.Constant{V: 0},
+			Duration: 500 * time.Millisecond,
+			Seed:     1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, rep.Committed, dials)
+	})
+	t.Run("scenario", func(t *testing.T) {
+		url, dials := serve(t)
+		sc := &Scenario{Name: "reuse", DurationSeconds: 0.5, Streams: []StreamConfig{
+			{Name: "a", Mode: "closed", Clients: clients / 2},
+			{Name: "b", Mode: "closed", Clients: clients / 2},
+		}}
+		rep, err := RunScenario(context.Background(), url, sc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, rep.Total.Committed, dials)
+	})
 }
 
 // TestOpenLoopPacesAbsoluteSchedule checks that open-loop pacing does not

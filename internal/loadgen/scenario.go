@@ -451,7 +451,9 @@ type ScenarioOptions struct {
 	// arrivals rotating and closed-loop clients pinned round-robin).
 	// At least one is required.
 	URLs []string
-	// Client overrides the HTTP client (default: 30s timeout).
+	// Client overrides the HTTP client (default: 30s timeout, one pooled
+	// connection per closed-loop client and open-loop in-flight slot
+	// over all streams).
 	Client *http.Client
 	// Actuator executes the scenario's cluster stanza; required when the
 	// scenario has cluster events.
@@ -459,8 +461,8 @@ type ScenarioOptions struct {
 }
 
 // RunScenario drives the server with every stream of the scenario until
-// its duration elapses or ctx ends. client may be nil (a default client
-// with a 30s timeout is used). The error is non-nil only for
+// its duration elapses or ctx ends. client may be nil (the default of
+// ScenarioOptions.Client is used). The error is non-nil only for
 // configuration problems; transport failures are counted per stream.
 func RunScenario(ctx context.Context, url string, sc *Scenario, client *http.Client) (ScenarioReport, error) {
 	return RunScenarioOpts(ctx, sc, ScenarioOptions{URLs: []string{url}, Client: client})
@@ -481,7 +483,18 @@ func RunScenarioOpts(ctx context.Context, sc *Scenario, opts ScenarioOptions) (S
 	}
 	client := opts.Client
 	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
+		// One pooled connection per request the streams can have in
+		// flight together: each closed-loop terminal, each open-loop slot.
+		conns := 0
+		for _, st := range sc.Streams {
+			if st.Mode == "closed" {
+				conns += st.Clients
+			} else {
+				conns += st.MaxInFlight
+			}
+		}
+		client = newClient(30*time.Second, conns)
+		defer client.CloseIdleConnections()
 	}
 	seed := sc.Seed
 	if seed == 0 {
@@ -522,13 +535,9 @@ func RunScenarioOpts(ctx context.Context, sc *Scenario, opts ScenarioOptions) (S
 	}
 
 	cols := make([]*collector, len(sc.Streams))
-	timeout := 30 * time.Second
-	if client.Timeout > 0 {
-		timeout = client.Timeout
-	}
 	var wg sync.WaitGroup
 	for i := range sc.Streams {
-		cols[i] = newCollector(timeout)
+		cols[i] = newCollector()
 		st := &sc.Streams[i]
 		runner := &streamRunner{
 			scenario: sc,
@@ -550,7 +559,7 @@ func RunScenarioOpts(ctx context.Context, sc *Scenario, opts ScenarioOptions) (S
 	clusterWG.Wait()
 
 	rep := ScenarioReport{Scenario: sc.Name, Duration: time.Since(start).Seconds(), Cluster: clusterLog}
-	var totalHist *histMerge
+	var totalLat latencySum
 	for i, st := range sc.Streams {
 		r := cols[i].report(modeOf(st.Mode), time.Since(start))
 		rep.Streams = append(rep.Streams, StreamReport{Name: st.Name, Class: st.Class, Report: r})
@@ -564,23 +573,14 @@ func RunScenarioOpts(ctx context.Context, sc *Scenario, opts ScenarioOptions) (S
 		rep.Total.Unresolved += r.Unresolved
 		rep.Total.Queries += r.Queries
 		rep.Total.Updates += r.Updates
-		if totalHist == nil {
-			totalHist = newHistMerge(cols[i])
-		} else {
-			totalHist.add(cols[i])
-		}
+		totalLat.add(&cols[i].lat)
 	}
 	rep.Total.Mode = "scenario"
 	rep.Total.Duration = rep.Duration
 	if rep.Duration > 0 {
 		rep.Total.Throughput = float64(rep.Total.Committed) / rep.Duration
 	}
-	if totalHist != nil {
-		rep.Total.LatMean = totalHist.mean()
-		rep.Total.LatP50 = totalHist.quantile(0.50)
-		rep.Total.LatP95 = totalHist.quantile(0.95)
-		rep.Total.LatP99 = totalHist.quantile(0.99)
-	}
+	rep.Total.LatMean, rep.Total.LatP50, rep.Total.LatP95, rep.Total.LatP99 = totalLat.stats()
 	return rep, nil
 }
 
@@ -795,63 +795,4 @@ func (r *streamRunner) request(ctx context.Context, base string, p txnParams) {
 		case <-time.After(time.Duration(r.cfg.StallMS * float64(time.Millisecond))):
 		}
 	}
-}
-
-// histMerge folds the per-stream latency histograms (identical shapes —
-// same timeout span) into aggregate quantiles.
-type histMerge struct {
-	lo, hi  float64
-	buckets []uint64
-	count   uint64
-	sum     float64
-}
-
-func newHistMerge(c *collector) *histMerge {
-	m := &histMerge{}
-	m.add(c)
-	return m
-}
-
-func (m *histMerge) add(c *collector) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if m.buckets == nil {
-		m.lo, m.hi = c.hist.Lo, c.hist.Hi
-		m.buckets = make([]uint64, len(c.hist.Buckets))
-	}
-	for i, b := range c.hist.Buckets {
-		if i < len(m.buckets) {
-			m.buckets[i] += b
-		}
-	}
-	m.count += c.lat.Count()
-	m.sum += c.lat.Mean() * float64(c.lat.Count())
-}
-
-func (m *histMerge) mean() float64 {
-	if m.count == 0 {
-		return 0
-	}
-	return m.sum / float64(m.count)
-}
-
-func (m *histMerge) quantile(q float64) float64 {
-	if m.count == 0 {
-		return 0
-	}
-	target := uint64(q * float64(m.count))
-	if target == 0 {
-		// Truncation with few samples must not pin quantiles to the
-		// first bucket regardless of where the samples actually landed.
-		target = 1
-	}
-	var cum uint64
-	width := (m.hi - m.lo) / float64(len(m.buckets))
-	for i, c := range m.buckets {
-		cum += c
-		if cum >= target {
-			return m.lo + width*(float64(i)+0.5)
-		}
-	}
-	return m.hi
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -317,8 +316,7 @@ func (s *Server) handleController(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, view)
 	case http.MethodPost:
 		var req controllerSwitch
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, "bad JSON body: "+err.Error(), http.StatusBadRequest)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		bounds := core.DefaultBounds()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -190,6 +191,13 @@ func (e *ccEngine) Exec(ctx context.Context, spec TxnSpec) error {
 		case cc.AbortSelf:
 			e.wakeLocked(e.proto.Abort(id))
 			e.mu.Unlock()
+			// A self-abort (wait-die loser, deadlock victim) returns without
+			// blocking, and the caller restarts at once. Yield first: the
+			// transaction it lost to may be runnable but waiting for a
+			// processor, and restart loops that never block would hold
+			// every processor until the scheduler's 10 ms preemption —
+			// thousands of wait-die deaths per holder.
+			runtime.Gosched()
 			return ErrAborted
 		default:
 			e.mu.Unlock()

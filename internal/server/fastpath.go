@@ -3,17 +3,17 @@ package server
 import (
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"github.com/tpctl/loadctl/internal/sim"
+	"github.com/tpctl/loadctl/internal/wire"
 )
 
-// The /txn fast path: pooled per-request scratch state, a zero-alloc
-// query parser for the committed /txn vocabulary, and manual JSON
-// response rendering into a pooled buffer. Everything here exists to
-// keep the steady-state request cycle free of per-request heap traffic;
-// handleTxn (transport.go) is the consumer.
+// The /txn fast path: pooled per-request scratch state, a single-pass
+// query parser for the committed /txn vocabulary (zero-alloc on plain
+// queries), and manual JSON response rendering into a pooled buffer.
+// Everything here exists to keep the steady-state request cycle free of
+// per-request heap traffic; handleTxn (transport.go) is the consumer.
 
 // txnScratch is the pooled per-request state of one /txn invocation:
 // the decoded request, the sampled access set (reused slice capacity),
@@ -44,49 +44,18 @@ func getTxnScratch() *txnScratch {
 //loadctl:hotpath
 func putTxnScratch(sc *txnScratch) { txnScratchPool.Put(sc) }
 
-// canFastParseQuery reports whether rawQuery is in the plain subset the
-// zero-alloc parser handles. Percent escapes, '+' (space) and ';'
-// (a parse error since Go 1.17) bail to the legacy url.Values path, so
-// the fast parser never has to replicate decoding or error semantics —
-// on the plain subset the two parsers are behavior-identical (the
-// differential fuzz test FuzzTxnQueryParse holds them to that).
+// parseTxnQuery applies rawQuery onto req with url.Values.Get semantics,
+// in one pass over the pairs wire.NextQueryPair decodes: the first
+// occurrence of a key wins, a first occurrence with an empty value means
+// "absent" (url.Values.Get returns the empty first value), unknown keys
+// are ignored, and k/base/span must parse as integers within their
+// floors or the request is a 400. A non-empty errMsg is the 400 message;
+// with several bad parameters it names the first in query order.
 //
 //loadctl:hotpath
-func canFastParseQuery(raw string) bool {
-	for i := 0; i < len(raw); i++ {
-		switch raw[i] {
-		case '%', '+', ';':
-			return false
-		}
-	}
-	return true
-}
-
-// parseTxnQueryFast applies rawQuery (plain subset only — the caller
-// must have checked canFastParseQuery) onto req with exactly the legacy
-// path's semantics: the first occurrence of a key wins, a first
-// occurrence with an empty value means "absent" (url.Values.Get returns
-// the empty first value), unknown keys are ignored, and k/base/span
-// must parse as integers within their floors or the request is a 400.
-// A non-empty errMsg is the 400 message.
-//
-//loadctl:hotpath
-func parseTxnQueryFast(raw string, req *txnRequest) (errMsg string) {
+func parseTxnQuery(raw string, req *txnRequest) (errMsg string) {
 	var seenClass, seenShape, seenK, seenBase, seenSpan bool
-	for len(raw) > 0 {
-		var pair string
-		if i := strings.IndexByte(raw, '&'); i >= 0 {
-			pair, raw = raw[:i], raw[i+1:]
-		} else {
-			pair, raw = raw, ""
-		}
-		if pair == "" {
-			continue
-		}
-		key, val := pair, ""
-		if i := strings.IndexByte(pair, '='); i >= 0 {
-			key, val = pair[:i], pair[i+1:]
-		}
+	for key, val, rest, ok := wire.NextQueryPair(raw); ok; key, val, rest, ok = wire.NextQueryPair(rest) {
 		switch key {
 		case "class":
 			if seenClass {
@@ -193,19 +162,6 @@ func (s *Server) buildSpecFast(sc *txnScratch, k int, query bool, writeFrac floa
 	return spec
 }
 
-// setHeaderValue is http.Header.Set without the per-call []string
-// allocation when the key is already present (Set always allocates a
-// fresh one-element slice). Keys must be in canonical form already.
-//
-//loadctl:hotpath
-func setHeaderValue(h http.Header, key, value string) {
-	if vs := h[key]; len(vs) == 1 {
-		vs[0] = value
-		return
-	}
-	h[key] = []string{value} //loadctl:allocok audited: first Set of this key on the response — one slice per header per response, the map entry then reused
-}
-
 // jsonPlain reports whether s can be embedded in a JSON string without
 // escaping. Class names are operator configuration, so the fast
 // renderer checks rather than trusts; a name that needs escaping falls
@@ -254,7 +210,7 @@ func writeTxnFast(w http.ResponseWriter, sc *txnScratch, code int, status, shape
 	b = append(b, '}', '\n')
 	sc.buf = b
 	h := w.Header()
-	setHeaderValue(h, "Content-Type", "application/json")
+	wire.SetHeader(h, "Content-Type", "application/json")
 	w.WriteHeader(code)
 	_, _ = w.Write(b)
 }

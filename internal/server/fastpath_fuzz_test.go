@@ -1,21 +1,53 @@
 package server
 
 import (
-	"net/http"
 	"net/url"
+	"strconv"
 	"testing"
 )
 
-// FuzzTxnQueryParse holds the zero-alloc query parser to the legacy
-// url.Values reference path by differential testing: for every raw query
-// in the plain subset (canFastParseQuery), the two parsers must either
-// produce the identical txnRequest or both answer 400. The 400 messages
-// may differ — the fast parser reports the first bad parameter in query
-// order, the legacy one in its fixed k/base/span order — but a request
-// must never be accepted by one parser and rejected by the other, and an
-// accepted request must decode identically. Queries outside the plain
-// subset are exactly the ones handleTxn routes to the legacy parser, so
-// there is nothing to compare there.
+// parseTxnQueryReference is the url.Values reading of a /txn query —
+// what handleTxn did before the single-pass parser — kept as the
+// semantic reference parseTxnQuery is fuzzed against.
+func parseTxnQueryReference(raw string, req *txnRequest) (errMsg string) {
+	q, _ := url.ParseQuery(raw)
+	if v := q.Get("class"); v != "" {
+		req.Class = v
+	}
+	if v := q.Get("shape"); v != "" {
+		req.Shape = v
+	}
+	for _, p := range []struct {
+		name string
+		bad  string
+		dst  *int
+		min  int
+	}{
+		{"k", "bad k", &req.K, 1},
+		{"base", "bad base", &req.Base, 0},
+		{"span", "bad span", &req.Span, 0},
+	} {
+		v := q.Get(p.name)
+		if v == "" {
+			continue
+		}
+		n, err := strconv.Atoi(v)
+		if err != nil || n < p.min {
+			return p.bad
+		}
+		*p.dst = n
+	}
+	return ""
+}
+
+// FuzzTxnQueryParse holds the single-pass query parser to the url.Values
+// reference by differential testing, on every raw query — percent
+// escapes, '+' and ';' included: the two parsers must either produce the
+// identical txnRequest or both answer 400. The 400 messages may differ —
+// the single-pass parser reports the first bad parameter in query order,
+// the reference in its fixed k/base/span order — but a request must
+// never be accepted by one parser and rejected by the other, and an
+// accepted request must decode identically.
 func FuzzTxnQueryParse(f *testing.F) {
 	seeds := []string{
 		"",
@@ -33,28 +65,27 @@ func FuzzTxnQueryParse(f *testing.F) {
 		"&&&",
 		"class==x",
 		"k=00008",
-		"k=+8", // outside the plain subset: not compared
+		"k=+8", // '+' decodes to a space: not an integer
 		"class=a%20b",
+		"cl%61ss=a+b&k=1", // escaped key, '+' in the value
+		"k=%zz&k=3",       // a bad escape skips the pair: k=3 is the first k
+		"a;b=1&class=x",   // a pair with ';' is skipped, the rest still parse
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
-		if !canFastParseQuery(raw) {
-			return
+		var got, want txnRequest
+		gotErr := parseTxnQuery(raw, &got)
+		wantErr := parseTxnQueryReference(raw, &want)
+		if (gotErr == "") != (wantErr == "") {
+			t.Fatalf("raw %q: parser err %q, reference err %q", raw, gotErr, wantErr)
 		}
-		var fast, legacy txnRequest
-		fastErr := parseTxnQueryFast(raw, &fast)
-		r := &http.Request{URL: &url.URL{RawQuery: raw}}
-		legacyErr := parseTxnQueryLegacy(r, &legacy)
-		if (fastErr == "") != (legacyErr == "") {
-			t.Fatalf("raw %q: fast err %q, legacy err %q", raw, fastErr, legacyErr)
-		}
-		if fastErr != "" {
+		if gotErr != "" {
 			return // both 400
 		}
-		if fast != legacy {
-			t.Fatalf("raw %q: fast %+v != legacy %+v", raw, fast, legacy)
+		if got != want {
+			t.Fatalf("raw %q: parser %+v != reference %+v", raw, got, want)
 		}
 	})
 }

@@ -421,6 +421,25 @@ func TestControllerEndpoint(t *testing.T) {
 	}
 }
 
+// TestRequestBodyCap checks that /txn and POST /controller read at most
+// maxBodyBytes of a JSON body: a 2 MiB body is refused with 413 instead
+// of being read and decoded whole.
+func TestRequestBodyCap(t *testing.T) {
+	_, ts := newTestServer(t, 64, nil)
+	big := `{"pad":"` + strings.Repeat("a", 2<<20) + `"}`
+	for _, path := range []string{"/txn", "/controller"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(big))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with a 2 MiB body: got %d, want 413", path, resp.StatusCode)
+		}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	store := kv.NewStore(8)
 	if _, err := New(Config{Engine: NewOCC(store), Items: 8}); err == nil {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -14,6 +13,7 @@ import (
 	"github.com/tpctl/loadctl/internal/reqtrace"
 	"github.com/tpctl/loadctl/internal/sim"
 	"github.com/tpctl/loadctl/internal/telemetry"
+	"github.com/tpctl/loadctl/internal/wire"
 )
 
 // This file is the server's transport layer: the /txn data path, the
@@ -56,38 +56,25 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	telemetry.WriteJSON(w, code, v) //loadctl:allocok audited: response encode — pooled buffers in telemetry.WriteJSON, in the 39-alloc /txn budget
 }
 
-// parseTxnQueryLegacy is the url.Values query path, kept for queries
-// outside the fast parser's plain subset (percent escapes, '+', ';').
-// It is the semantic reference the fast parser is fuzzed against.
-func parseTxnQueryLegacy(r *http.Request, req *txnRequest) (errMsg string) {
-	q := r.URL.Query()
-	if v := q.Get("class"); v != "" {
-		req.Class = v
+// maxBodyBytes caps the JSON request bodies of /txn and POST /controller,
+// as the proxy caps the bodies it relays: reading a body is work done
+// before admission, so it must not be unbounded.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it answers 413 (body over the cap) or 400 and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
 	}
-	if v := q.Get("shape"); v != "" {
-		req.Shape = v
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+	} else {
+		http.Error(w, "bad JSON body: "+err.Error(), http.StatusBadRequest)
 	}
-	for _, p := range []struct {
-		name string
-		bad  string
-		dst  *int
-		min  int
-	}{
-		{"k", "bad k", &req.K, 1},
-		{"base", "bad base", &req.Base, 0},
-		{"span", "bad span", &req.Span, 0},
-	} {
-		v := q.Get(p.name)
-		if v == "" {
-			continue
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil || n < p.min {
-			return p.bad
-		}
-		*p.dst = n
-	}
-	return ""
+	return false
 }
 
 // resolveClass maps a request's class/shape fields to (class index, shape)
@@ -135,17 +122,11 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 	defer putTxnScratch(sc)
 	req := &sc.req
 	if r.Body != nil && r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(req); err != nil { //loadctl:allocok audited: request-body decode, only when a body is present
-			http.Error(w, "bad JSON body: "+err.Error(), http.StatusBadRequest) //loadctl:allocok audited: 400 path for malformed JSON
+		if !decodeBody(w, r, req) { //loadctl:allocok audited: request-body decode, only when a body is present
 			return
 		}
 	}
-	if raw := r.URL.RawQuery; canFastParseQuery(raw) {
-		if errMsg := parseTxnQueryFast(raw, req); errMsg != "" {
-			http.Error(w, errMsg, http.StatusBadRequest)
-			return
-		}
-	} else if errMsg := parseTxnQueryLegacy(r, req); errMsg != "" { //loadctl:allocok audited: legacy url.Values parse, only for queries with escapes outside the fast parser's plain subset
+	if errMsg := parseTxnQuery(r.URL.RawQuery, req); errMsg != "" {
 		http.Error(w, errMsg, http.StatusBadRequest)
 		return
 	}
@@ -228,8 +209,8 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 			cell.Inc(cRejected)
 			tr.SetAdmit(s.loadSignal().sig.Limit, s.shedMask.Load())
 			tr.Span(reqtrace.SpanQueue, tr.Now(), reqtrace.DetailRejected, 0)
-			setHeaderValue(w.Header(), loadsig.Header, s.loadSignal().header)
-			setHeaderValue(w.Header(), "Retry-After", loadsig.RetryAfter())
+			wire.SetHeader(w.Header(), loadsig.Header, s.loadSignal().header)
+			wire.SetHeader(w.Header(), "Retry-After", loadsig.RetryAfter())
 			writeTxnFast(w, sc, http.StatusTooManyRequests, "rejected", class, className, 0, msSince(t0))
 			tr.Finish(reqtrace.StatusRejected, false)
 			return
@@ -252,8 +233,8 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 				cell.Inc(cTimeouts)
 				tr.SetAdmit(s.loadSignal().sig.Limit, s.shedMask.Load())
 				tr.Span(reqtrace.SpanQueue, qStart, reqtrace.DetailTimeout, 0)
-				setHeaderValue(w.Header(), loadsig.Header, s.loadSignal().header)
-				setHeaderValue(w.Header(), "Retry-After", loadsig.RetryAfter())
+				wire.SetHeader(w.Header(), loadsig.Header, s.loadSignal().header)
+				wire.SetHeader(w.Header(), "Retry-After", loadsig.RetryAfter())
 				writeTxnFast(w, sc, http.StatusServiceUnavailable, "timeout", class, className, 0, msSince(t0))
 				tr.Finish(reqtrace.StatusTimeout, false)
 				return
@@ -287,7 +268,7 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 
 	s.multi.Release(ci)
 	s.noteExit(cell)
-	setHeaderValue(w.Header(), loadsig.Header, s.loadSignal().header)
+	wire.SetHeader(w.Header(), loadsig.Header, s.loadSignal().header)
 
 	lat := time.Since(t0)
 	switch {

@@ -10,7 +10,7 @@ import (
 // gauge — with a single atomic add on the hot path.
 const (
 	// HistBuckets is the fixed bucket count; with HistBase = 50µs the
-	// quarter-log2 buckets reach ~3276s before clamping into the last one.
+	// quarter-log2 buckets reach ~3.3s before clamping into the last one.
 	HistBuckets = 64
 	// HistBase is the upper edge of bucket 0 in seconds.
 	HistBase = 50e-6

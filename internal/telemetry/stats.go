@@ -3,12 +3,13 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // The streaming statistics below predate the striped machinery: they are
-// the simulation-era single-writer accumulators (internal/metrics
-// re-exports them for the simulator and experiment harness). They live
-// here so the repository has exactly one implementation of each.
+// the single-writer accumulators and time series of the simulator and
+// experiment harness. They live here so the repository has exactly one
+// implementation of each.
 
 // Welford accumulates streaming mean and variance without storing samples.
 type Welford struct {
@@ -115,63 +116,71 @@ func (tw *TimeWeighted) ResetAt(t float64) {
 	tw.Set(t, v)
 }
 
-// FixedHistogram is a fixed-width bucket histogram over [Lo, Hi);
-// out-of-range observations clamp into the edge buckets. Unlike Histogram
-// it is single-writer (the simulator's collector), with a caller-chosen
-// range.
-type FixedHistogram struct {
-	Lo, Hi  float64
-	Buckets []uint64
-	count   uint64
-	sum     float64
+// Point is one (time, value) observation.
+type Point struct {
+	T float64
+	V float64
 }
 
-// NewFixedHistogram returns a histogram with n buckets spanning [lo, hi).
-func NewFixedHistogram(lo, hi float64, n int) *FixedHistogram {
-	if n < 1 || hi <= lo {
-		panic("telemetry: invalid histogram shape")
-	}
-	return &FixedHistogram{Lo: lo, Hi: hi, Buckets: make([]uint64, n)}
+// Series is an append-only time series.
+type Series struct {
+	Name   string
+	Points []Point
 }
 
-// Add records an observation.
-func (h *FixedHistogram) Add(v float64) {
-	h.count++
-	h.sum += v
-	idx := int(float64(len(h.Buckets)) * (v - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
+// Add appends an observation.
+func (s *Series) Add(t, v float64) { s.Points = append(s.Points, Point{t, v}) }
+
+// Len returns the number of points.
+func (s *Series) Len() int { return len(s.Points) }
+
+// Values returns just the values.
+func (s *Series) Values() []float64 {
+	out := make([]float64, len(s.Points))
+	for i, p := range s.Points {
+		out[i] = p.V
 	}
-	if idx >= len(h.Buckets) {
-		idx = len(h.Buckets) - 1
-	}
-	h.Buckets[idx]++
+	return out
 }
 
-// Count returns the number of observations.
-func (h *FixedHistogram) Count() uint64 { return h.count }
-
-// Mean returns the observation mean.
-func (h *FixedHistogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Quantile returns an approximate q-quantile from the buckets.
-func (h *FixedHistogram) Quantile(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	target := uint64(q * float64(h.count))
-	var cum uint64
-	width := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	for i, c := range h.Buckets {
-		cum += c
-		if cum >= target {
-			return h.Lo + width*(float64(i)+0.5)
+// MeanAfter returns the mean of values with T >= t0 (steady-state mean
+// after discarding warm-up).
+func (s *Series) MeanAfter(t0 float64) float64 {
+	var w Welford
+	for _, p := range s.Points {
+		if p.T >= t0 {
+			w.Add(p.V)
 		}
 	}
-	return h.Hi
+	return w.Mean()
+}
+
+// Max returns the maximum point (zero Point for an empty series).
+func (s *Series) Max() Point {
+	var best Point
+	found := false
+	for _, p := range s.Points {
+		if !found || p.V > best.V {
+			best = p
+			found = true
+		}
+	}
+	return best
+}
+
+// Quantile returns the q-quantile (0..1) of the values.
+func (s *Series) Quantile(q float64) float64 {
+	if len(s.Points) == 0 {
+		return 0
+	}
+	vals := s.Values()
+	sort.Float64s(vals)
+	idx := q * float64(len(vals)-1)
+	lo := int(math.Floor(idx))
+	hi := int(math.Ceil(idx))
+	if lo == hi {
+		return vals[lo]
+	}
+	frac := idx - float64(lo)
+	return vals[lo]*(1-frac) + vals[hi]*frac
 }

@@ -1,4 +1,4 @@
-package metrics
+package telemetry
 
 import (
 	"math"
@@ -135,99 +135,5 @@ func TestSeriesQuantile(t *testing.T) {
 	var empty Series
 	if empty.Quantile(0.5) != 0 {
 		t.Fatal("empty quantile should be 0")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i%10) + 0.5)
-	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	for i, c := range h.Buckets {
-		if c != 10 {
-			t.Fatalf("bucket %d = %d, want 10", i, c)
-		}
-	}
-	med := h.Quantile(0.5)
-	if med < 3 || med > 7 {
-		t.Fatalf("median = %v out of plausible band", med)
-	}
-}
-
-func TestHistogramClamping(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(-5)
-	h.Add(99)
-	if h.Buckets[0] != 1 || h.Buckets[3] != 1 {
-		t.Fatalf("clamping failed: %v", h.Buckets)
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(1, 1, 4)
-}
-
-func TestAutocorr1(t *testing.T) {
-	// Alternating series has strongly negative lag-1 autocorrelation.
-	alt := []float64{1, -1, 1, -1, 1, -1, 1, -1}
-	if a := Autocorr1(alt); a > -0.5 {
-		t.Fatalf("alternating autocorr = %v, want strongly negative", a)
-	}
-	// Slowly varying series is positively autocorrelated.
-	slow := make([]float64, 50)
-	for i := range slow {
-		slow[i] = math.Sin(float64(i) / 10)
-	}
-	if a := Autocorr1(slow); a < 0.5 {
-		t.Fatalf("slow autocorr = %v, want strongly positive", a)
-	}
-	if Autocorr1([]float64{1, 2}) != 0 {
-		t.Fatal("short series should return 0")
-	}
-	if Autocorr1([]float64{3, 3, 3, 3}) != 0 {
-		t.Fatal("constant series should return 0")
-	}
-}
-
-func TestRequiredDepartures(t *testing.T) {
-	// Poisson-ish, 10% error, 95% confidence -> (1.96/0.1)^2 ≈ 385.
-	n := RequiredDepartures(1.0, 0.1, 1.96)
-	if n < 380 || n > 390 {
-		t.Fatalf("n = %d, want ~385", n)
-	}
-	// §5: "rather hundreds of departures than some tens" — 10% accuracy
-	// indeed needs hundreds.
-	if n < 100 {
-		t.Fatal("rule of §5 violated")
-	}
-	if RequiredDepartures(1, 0, 1.96) != math.MaxInt32 {
-		t.Fatal("zero error must demand unbounded sample")
-	}
-	if RequiredDepartures(0, 10, 1.96) < 1 {
-		t.Fatal("must need at least one departure")
-	}
-}
-
-func TestSuggestInterval(t *testing.T) {
-	// 100 tx/s needing 400 departures -> 4 s, inside [1, 30].
-	if dt := SuggestInterval(100, 400, 1, 30); math.Abs(dt-4) > 1e-12 {
-		t.Fatalf("dt = %v, want 4", dt)
-	}
-	if dt := SuggestInterval(100, 10, 1, 30); dt != 1 {
-		t.Fatalf("clamp to min failed: %v", dt)
-	}
-	if dt := SuggestInterval(1, 10000, 1, 30); dt != 30 {
-		t.Fatalf("clamp to max failed: %v", dt)
-	}
-	if dt := SuggestInterval(0, 100, 1, 30); dt != 30 {
-		t.Fatalf("zero throughput should give max: %v", dt)
 	}
 }

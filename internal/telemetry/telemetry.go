@@ -1,7 +1,7 @@
 // Package telemetry is the shared "sense" layer of the repository: every
 // tier that measures itself — the transaction server, the cluster routing
-// proxy, and the simulation harness — builds on the primitives here
-// instead of growing its own copy.
+// proxy, the load generator and the simulation harness — builds on the
+// primitives here instead of growing its own copy.
 //
 // The package owns:
 //
@@ -21,8 +21,8 @@
 //     implements the format-negotiation contract (/metrics default
 //     Prometheus, ?format=json for the snapshot, errors as 400) shared by
 //     loadctld and loadctlproxy;
-//   - the simulation-era streaming statistics (Welford, TimeWeighted,
-//     FixedHistogram) that internal/metrics re-exports.
+//   - the simulation-era streaming statistics (Welford, TimeWeighted) and
+//     the Series time series of the simulator and experiment harness.
 //
 // The race discipline for Counters is documented on the type: folds read
 // counters in schema order, so writers maintaining cross-counter

@@ -8,9 +8,9 @@ import (
 	"github.com/tpctl/loadctl/internal/core"
 	"github.com/tpctl/loadctl/internal/db"
 	"github.com/tpctl/loadctl/internal/gate"
-	"github.com/tpctl/loadctl/internal/metrics"
 	"github.com/tpctl/loadctl/internal/sim"
 	"github.com/tpctl/loadctl/internal/station"
+	"github.com/tpctl/loadctl/internal/telemetry"
 )
 
 // txnState is the lifecycle position of one circulating transaction.
@@ -78,7 +78,7 @@ type System struct {
 	activeOrder []*txn // admission order, newest last (displacement victims)
 
 	// Measurement accumulators (reset each interval).
-	loadAvg      metrics.TimeWeighted
+	loadAvg      telemetry.TimeWeighted
 	intCommits   uint64
 	intAborts    uint64
 	intConflicts uint64
@@ -477,8 +477,46 @@ func (s *System) nextInterval(throughput float64) float64 {
 	if hi <= 0 {
 		hi = 30
 	}
-	needed := metrics.RequiredDepartures(1.0, relErr, 1.96)
-	return metrics.SuggestInterval(throughput, needed, lo, hi)
+	needed := requiredDepartures(1.0, relErr, 1.96)
+	return suggestInterval(throughput, needed, lo, hi)
+}
+
+// requiredDepartures returns how many departures a throughput estimate must
+// span so that the relative error of the interval-throughput estimator is
+// at most relErr at the given normal quantile z (e.g. 1.96 for 95%),
+// assuming the departure process is roughly Poisson-like with coefficient
+// of variation cv of the inter-departure times. This is the §5 rule
+// ("rather hundreds of departures than some tens"): n >= (z*cv/relErr)².
+func requiredDepartures(cv, relErr, z float64) int {
+	if relErr <= 0 {
+		return math.MaxInt32
+	}
+	if cv <= 0 {
+		cv = 1 // Poisson default
+	}
+	n := (z * cv / relErr) * (z * cv / relErr)
+	if n < 1 {
+		return 1
+	}
+	return int(math.Ceil(n))
+}
+
+// suggestInterval converts a required departure count into a measurement
+// interval length given the currently observed throughput (departures/s),
+// clamped to [minLen, maxLen]. It implements the stability/responsiveness
+// balance of §5: no longer than needed to filter noise.
+func suggestInterval(throughput float64, needed int, minLen, maxLen float64) float64 {
+	if throughput <= 0 {
+		return maxLen
+	}
+	dt := float64(needed) / throughput
+	if dt < minLen {
+		return minLen
+	}
+	if dt > maxLen {
+		return maxLen
+	}
+	return dt
 }
 
 // conflict bookkeeping: protocol stats are cumulative; track the delta.
